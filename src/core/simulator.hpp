@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -197,6 +198,11 @@ class CompressedStateSimulator {
   int global_block(int rank, int block) const {
     return rank * partition_.blocks_per_rank() + block;
   }
+  /// Every (rank, block) unit, rank-major: unit i is global block i.
+  std::vector<std::pair<int, int>> all_blocks() const {
+    return qsim::run_block_order(partition_.num_ranks(),
+                                 partition_.blocks_per_rank());
+  }
   /// Compresses one block at `level`, letting the codec arbiter pick
   /// lossless vs. the configured lossy codec per block. Returns the
   /// payload plus the BlockMeta (level + codec id) describing it. The
@@ -246,28 +252,25 @@ class CompressedStateSimulator {
   void process_pair(const GateRouting& routing, int rank_a, int block_a,
                     int rank_b, int block_b, std::size_t worker);
 
-  // --- Single-block unit executors (sequential + pipelined) ---
+  // --- Single-block unit executor ---
 
-  /// True when the overlapped pipeline can engage: knob on, >= 2 workers,
-  /// staging buffers allocated.
-  bool pipeline_ready() const;
-  /// Cache probe of one unit. On a hit the stored block is replaced from
-  /// the cache and counters bumped (the unit is fully handled); on a miss
-  /// the key (0 when the cache is off) is reported for the later insert.
-  bool unit_cache_probe(const UnitSpec& spec, int rank, int block,
-                        std::uint64_t* key_out);
-  /// Recompress + cache-insert + store + counters tail of one unit.
-  void unit_finish(const UnitSpec& spec, int rank, int block,
-                   std::size_t worker, std::span<double> amps,
-                   std::uint64_t key);
-  /// Runs every (rank, block) unit: decompress, spec.compute, recompress.
-  /// Dispatches to the overlapped pipeline when it can engage, else a
-  /// plain parallel_for. Bit-identical either way.
+  /// Runs every (rank, block) unit on the pool: a cache hit replaces the
+  /// block outright; otherwise decompress, spec.compute, recompress and
+  /// cache the result. Spilled payloads are advised readahead_blocks
+  /// units ahead.
   void run_units(const std::vector<std::pair<int, int>>& units,
                  const UnitSpec& spec);
-  void run_units_pipelined(const std::vector<std::pair<int, int>>& units,
-                           const UnitSpec& spec);
   void run_diagonal(const GateRouting& routing);
+
+  /// Read-out reduction: decompresses each unit and stores
+  /// block_sum(amps, count, rank, block) at sums[i]. One slot per unit,
+  /// not per worker, so a sum over them in unit order is the same double
+  /// at every thread count.
+  std::vector<double> block_sums(
+      const std::vector<std::pair<int, int>>& units,
+      const std::function<double(const qsim::Amplitude* amps,
+                                 std::uint64_t count, int rank, int block)>&
+          block_sum);
   void run_offset_target(const GateRouting& routing);
   void run_block_target(const GateRouting& routing);
   void run_rank_target(const GateRouting& routing);
@@ -361,11 +364,6 @@ class CompressedStateSimulator {
   /// construction from config_.enable_simd_kernels and the host CPU).
   qsim::KernelBackend backend_ = qsim::KernelBackend::kScalar;
 
-  // Overlapped-pipeline accounting (bumped between parallel regions only).
-  std::uint64_t pipeline_blocks_ = 0;
-  std::uint64_t pipeline_prefetched_ = 0;
-  std::uint64_t pipeline_stalls_ = 0;
-
   // Qubit remapping (logical->physical relabeling).
   runtime::QubitMap map_;
   /// Bumped on every map mutation; joins cache keys so cached outputs
@@ -383,8 +381,6 @@ class CompressedStateSimulator {
   std::uint64_t rank_gates_localized_ = 0;
   std::uint64_t rank_gates_in_place_ = 0;
   std::uint64_t remap_sweeps_avoided_ = 0;
-  InvocationCounter compress_calls_;
-  InvocationCounter decompress_calls_;
   double wall_seconds_ = 0.0;
   double min_ratio_ = 0.0;  ///< 0 until first gate
   bool budget_exceeded_ = false;

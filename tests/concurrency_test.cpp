@@ -4,13 +4,17 @@
 // compression is deterministic and blocks are independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "circuits/grover.hpp"
+#include "circuits/phase_estimation.hpp"
 #include "circuits/qaoa.hpp"
 #include "circuits/qft.hpp"
 #include "circuits/supremacy.hpp"
@@ -108,7 +112,41 @@ TEST(ConcurrencyTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-using test::random_circuit;  // shared with the pipeline suite (test_util)
+using test::random_circuit;
+
+/// Worker counts every multi-worker leg compares against one worker:
+/// {2, hw}, deduplicated (hw is at least 2).
+std::vector<int> multi_worker_counts() {
+  const int hw = static_cast<int>(
+      std::max(2u, std::thread::hardware_concurrency()));
+  std::vector<int> counts = {2, hw};
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
+
+struct NamedCircuit {
+  std::string name;
+  qsim::Circuit circuit;
+};
+
+/// The five paper workloads at differential-suite scale (small enough to
+/// sweep the full matrix, large enough that every routing path fires).
+std::vector<NamedCircuit> workload_families() {
+  std::vector<NamedCircuit> all;
+  all.push_back({"qft", circuits::qft_circuit({.num_qubits = 10})});
+  all.push_back({"grover",
+                 circuits::grover_circuit({.data_qubits = 4,
+                                           .marked_state = 9,
+                                           .iterations = 2})});
+  all.push_back({"qaoa", circuits::qaoa_maxcut_circuit({.num_qubits = 10})});
+  all.push_back({"phase-estimation",
+                 circuits::phase_estimation_circuit(
+                     {.counting_qubits = 8, .phase = 0.3125})});
+  all.push_back({"supremacy",
+                 circuits::supremacy_circuit(
+                     {.rows = 3, .cols = 3, .depth = 5})});
+  return all;
+}
 
 /// The deterministic subset of a report: everything except wall-clock
 /// times and cache-interleaving artifacts (hit/miss split, compress-call
@@ -173,6 +211,135 @@ TEST(ConcurrencyTest, RandomizedCircuitsBitIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+TEST(ConcurrencyTest, RandomizedFuzzBitIdenticalAcrossThreadCounts) {
+  // Randomized circuits over all three partition segments (offset, block,
+  // rank), at a lossy level under both codec policies: {2, hw} workers
+  // must reproduce the one-worker state bit for bit.
+  for (const std::string policy : {"fixed", "adaptive"}) {
+    for (std::uint64_t seed : {5u, 17u, 29u}) {
+      const auto circuit = random_circuit(11, 90, seed);
+      core::SimConfig config;
+      config.num_qubits = 11;
+      config.num_ranks = 2;
+      config.blocks_per_rank = 8;
+      config.threads = 1;
+      config.initial_level = 2;
+      config.codec_policy = policy;
+      core::CompressedStateSimulator reference_sim(config);
+      reference_sim.apply_circuit(circuit);
+      const auto reference = reference_sim.to_raw();
+
+      for (int threads : multi_worker_counts()) {
+        config.threads = threads;
+        core::CompressedStateSimulator sim(config);
+        sim.apply_circuit(circuit);
+        CQS_EXPECT_STATES_CLOSE(sim.to_raw(), reference, 0.0)
+            << "policy " << policy << " seed " << seed << " threads "
+            << threads;
+      }
+    }
+  }
+}
+
+TEST(ConcurrencyTest, FamilyMatrixBitIdenticalAcrossThreadCounts) {
+  // The five circuit families x ranks {1, 2, 4} x {batched, per-gate} x
+  // {fixed, adaptive} at a lossy level: {2, hw} workers must reproduce the
+  // one-worker state bit for bit. Workers only change which thread takes
+  // which block, never a block's arithmetic, so tol = 0 throughout.
+  for (const auto& [name, circuit] : workload_families()) {
+    for (int ranks : {1, 2, 4}) {
+      for (bool batched : {true, false}) {
+        for (const std::string policy : {"fixed", "adaptive"}) {
+          core::SimConfig config;
+          config.num_qubits = circuit.num_qubits();
+          config.num_ranks = ranks;
+          // >= 4 blocks per rank so every worker has units to claim.
+          config.blocks_per_rank = std::max(4, 32 / ranks);
+          config.enable_run_batching = batched;
+          config.codec_policy = policy;
+          config.threads = 1;
+          config.initial_level = 2;  // lossy: identity must still hold
+          core::CompressedStateSimulator reference_sim(config);
+          reference_sim.apply_circuit(circuit);
+          const auto reference = reference_sim.to_raw();
+
+          for (int threads : multi_worker_counts()) {
+            config.threads = threads;
+            core::CompressedStateSimulator sim(config);
+            sim.apply_circuit(circuit);
+            CQS_EXPECT_STATES_CLOSE(sim.to_raw(), reference, 0.0)
+                << name << " ranks=" << ranks << " batched=" << batched
+                << " policy=" << policy << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConcurrencyTest, ReadoutsBitIdenticalAcrossThreadCountsAndReruns) {
+  // Read-out reductions sum one slot per block in block order, so
+  // P(q=1), <Z...Z> and the norm are the same double whichever worker
+  // decoded which block: across reruns and across {1, 2, hw} workers.
+  const auto circuit = circuits::qaoa_maxcut_circuit({.num_qubits = 12});
+  // Offset-segment qubits 0 and 1, block-segment qubit 8, rank-segment
+  // qubit 11 (12 qubits over 4 ranks x 8 blocks: 7 offset bits).
+  const std::uint64_t zz_mask = (1u << 0) | (1u << 1) | (1u << 11);
+  std::vector<int> counts = {1};
+  for (int threads : multi_worker_counts()) counts.push_back(threads);
+  std::uint64_t reference[5] = {0, 0, 0, 0, 0};
+  bool have_reference = false;
+  for (int threads : counts) {
+    core::SimConfig config;
+    config.num_qubits = 12;
+    config.num_ranks = 4;
+    config.blocks_per_rank = 8;
+    config.threads = threads;
+    config.initial_level = 3;  // lossy: the sums are not exact
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    for (int rerun = 0; rerun < 4; ++rerun) {
+      const std::uint64_t bits[5] = {
+          std::bit_cast<std::uint64_t>(sim.probability_one(1)),
+          std::bit_cast<std::uint64_t>(sim.probability_one(8)),
+          std::bit_cast<std::uint64_t>(sim.probability_one(11)),
+          std::bit_cast<std::uint64_t>(sim.expectation_pauli_z(zz_mask)),
+          std::bit_cast<std::uint64_t>(sim.norm())};
+      if (!have_reference) {
+        for (int i = 0; i < 5; ++i) reference[i] = bits[i];
+        have_reference = true;
+        continue;
+      }
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(bits[i], reference[i])
+            << "threads " << threads << " rerun " << rerun << " value "
+            << i;
+      }
+    }
+  }
+}
+
+TEST(ConcurrencyTest, ScratchIsTwoBlockBuffersPerWorker) {
+  // Eq. 8's scratch term: each worker owns exactly Vector_x and Vector_y
+  // (Figure 2) plus its pooled codec state — no further block-sized
+  // buffers, however many workers run.
+  const auto circuit = random_circuit(10, 40, 13);
+  core::SimConfig config;
+  config.num_qubits = 10;
+  config.num_ranks = 2;
+  config.blocks_per_rank = 8;
+  config.threads = 2;
+  core::CompressedStateSimulator sim(config);
+  sim.apply_circuit(circuit);
+  const auto report = sim.report();
+  const std::size_t block_bytes =
+      (std::size_t{1} << 10) / (2 * 8) * 2 * sizeof(double);
+  EXPECT_EQ(report.block_raw_bytes, block_bytes);
+  EXPECT_GT(report.codec_scratch_bytes, 0u);
+  EXPECT_EQ(report.scratch_bytes,
+            2 * 2 * block_bytes + report.codec_scratch_bytes);
 }
 
 TEST(ConcurrencyTest, BudgetEscalationIdenticalAcrossThreadCounts) {
@@ -367,53 +534,43 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
 }
 
 TEST(ConcurrencyTest, PipelineStressUnderCacheThrashAndLadderEscalation) {
-  // Worst-case pipeline conditions at once: a cache small enough to LRU-
-  // thrash (so probe/insert interleave with staging), a budget tight
-  // enough to force ladder escalation between pipelined gates, and depth 3
-  // so several blocks are in flight. States and the deterministic report
-  // fields must still be identical across thread counts and to the
-  // sequential path.
-  const int hw = static_cast<int>(
-      std::max(2u, std::thread::hardware_concurrency()));
+  // Worst-case executor conditions at once: a cache small enough to LRU-
+  // thrash (so probes and inserts from different workers interleave) and
+  // a budget tight enough to force ladder escalation between gates.
+  // States and the deterministic report fields must still be identical
+  // across thread counts.
   const auto circuit = random_circuit(10, 70, 57);
+  std::vector<int> counts = {1};
+  for (int threads : multi_worker_counts()) counts.push_back(threads);
   std::vector<double> reference;
   DeterministicReport reference_report{};
-  bool have_reference = false;
-  for (const bool pipeline : {false, true}) {
-    for (int threads : {1, 2, hw}) {
-      core::SimConfig config;
-      config.num_qubits = 10;
-      config.num_ranks = 2;
-      config.blocks_per_rank = 8;
-      config.threads = threads;
-      config.codec_policy = "adaptive";
-      config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
-      config.cache_lines = 4;                 // guaranteed LRU thrash
-      config.enable_pipeline = pipeline;
-      config.pipeline_depth = 3;
-      core::CompressedStateSimulator sim(config);
-      sim.apply_circuit(circuit);
-      const auto report = deterministic_fields(sim.report());
-      const auto raw = sim.to_raw();
-      if (!have_reference) {
-        reference = raw;
-        reference_report = report;
-        have_reference = true;
-      } else {
-        CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0)
-            << "pipeline=" << pipeline << " threads=" << threads;
-        EXPECT_EQ(report, reference_report)
-            << "pipeline=" << pipeline << " threads=" << threads;
-      }
+  for (int threads : counts) {
+    core::SimConfig config;
+    config.num_qubits = 10;
+    config.num_ranks = 2;
+    config.blocks_per_rank = 8;
+    config.threads = threads;
+    config.codec_policy = "adaptive";
+    config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
+    config.cache_lines = 4;                 // guaranteed LRU thrash
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    const auto report = deterministic_fields(sim.report());
+    const auto raw = sim.to_raw();
+    if (reference.empty()) {
+      reference = raw;
+      reference_report = report;
+    } else {
+      CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0) << "threads=" << threads;
+      EXPECT_EQ(report, reference_report) << "threads=" << threads;
     }
   }
 }
 
 TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
-  // save_checkpoint while the pipeline has been running must observe a
-  // fully drained executor (every staged block recompressed and stored):
-  // resuming the checkpoint and finishing the circuit must be bit-identical
-  // to the uninterrupted run, pipelined or not.
+  // save_checkpoint after multi-worker gates must observe every block
+  // recompressed and stored: resuming the checkpoint and finishing the
+  // circuit must be bit-identical to the uninterrupted run.
   const auto circuit = random_circuit(10, 60, 71);
   const std::uint64_t half = circuit.ops().size() / 2;
 
@@ -422,8 +579,6 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
   config.num_ranks = 2;
   config.blocks_per_rank = 8;
   config.threads = 2;
-  config.enable_pipeline = true;
-  config.pipeline_depth = 3;
 
   // Both runs go through the per-gate apply path (apply_circuit's fusion
   // pre-pass composes matrices and would be a different — equally valid —
